@@ -6,8 +6,9 @@
 #   ./ci.sh quick        # tier-1 only (build --release && test -q)
 #   ./ci.sh lint-chains  # river-lint over every shipped pipeline chain
 #   ./ci.sh bench-check  # compare BENCH_fig5.json vs BENCH_baseline.json
-#   ./ci.sh stage-bench  # append per-stage spectral ns/record lines to
-#                        #   BENCH_fig5.json (requires a release build)
+#   ./ci.sh stage-bench  # append per-stage spectral and detector
+#                        #   ns/record lines to BENCH_fig5.json
+#                        #   (requires a release build)
 #   ./ci.sh telemetry-check  # validate the fig5 --telemetry-json
 #                        #   snapshot, append per-stage p50/p99 lines to
 #                        #   BENCH_fig5.json, enforce the overhead budget
@@ -94,12 +95,12 @@ wire_check() {
     }'
 }
 
-# --- per-stage spectral cost -----------------------------------------
-# Appends one {"stage": …, "ns_per_record": …} line per spectral stage
-# to BENCH_fig5.json: the four oracle operators, their chained total,
-# and the fused `spectrum` replacement — the per-stage evidence that
-# the real-input FFT path is where the throughput win comes from
-# (DESIGN.md §14).
+# --- per-stage spectral and detector cost -----------------------------
+# Appends one {"stage": …, "ns_per_record": …} line per stage to
+# BENCH_fig5.json: the four oracle spectral operators, their chained
+# total, the fused `spectrum` replacement, and the detector chain
+# `saxanomaly` → `trigger` → `cutter` — the per-stage evidence for the
+# real-input FFT path and the detector's record kernel (DESIGN.md §14).
 stage_bench() {
     cargo run --release --quiet -p ensemble-bench --bin fig5_pipeline -- \
         --stage-json | tee -a BENCH_fig5.json
@@ -251,9 +252,9 @@ if [ "${1:-}" != "quick" ]; then
             --wire-json "$fmt" | tee -a BENCH_fig5.json
     done
 
-    # Per-stage spectral cost, same artifact: shows which stage the
-    # single-lane throughput comes from (dft vs fused spectrum).
-    phase "BENCH_fig5.json (per-stage spectral ns/record)"
+    # Per-stage cost, same artifact: shows which stage the single-lane
+    # throughput goes to (dft vs fused spectrum, and the detector).
+    phase "BENCH_fig5.json (per-stage ns/record)"
     stage_bench
 
     # Service-layer throughput, same artifact: 16 sessions multiplexed

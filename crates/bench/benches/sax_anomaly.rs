@@ -1,6 +1,9 @@
 //! Ablation bench for the streaming SAX-bitmap anomaly detector:
 //! throughput vs window size, alphabet size and n-gram level — the §3
-//! parameter choices (window 100, alphabet 8).
+//! parameter choices (window 100, alphabet 8). Those groups call the
+//! one-sample `push` wrapper; `record/push_into_840` feeds the paper
+//! configuration one 840-sample audio record per `push_into` call, the
+//! shape the `saxanomaly` operator uses (compare `window/100`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use river_sax::anomaly::{AnomalyConfig, BitmapAnomaly, Normalization};
@@ -107,8 +110,30 @@ fn bench_normalization(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_record(c: &mut Criterion) {
+    // 60 whole records, about the 50 000 samples of the other groups.
+    let samples = signal(50_400);
+    let mut group = c.benchmark_group("sax_anomaly/record");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(samples.len() as u64));
+    group.bench_function("push_into_840", |b| {
+        let mut scores = vec![0.0; 840];
+        b.iter(|| {
+            let mut det = BitmapAnomaly::new(AnomalyConfig::default());
+            let mut acc = 0.0;
+            for record in samples.chunks_exact(840) {
+                det.push_into(record, &mut scores);
+                acc += scores[839];
+            }
+            black_box(acc)
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_record,
     bench_window,
     bench_alphabet,
     bench_ngram,

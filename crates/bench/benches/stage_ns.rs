@@ -1,16 +1,22 @@
-//! Per-stage cost of the spectral featurization chain, in ns/record.
+//! Per-stage cost of the Figure 5 chain, in ns/record.
 //!
 //! Benches each operator of the oracle chain (`welchwindow` →
 //! `float2cplx` → `dft` → `cabs`) in isolation on its own input shape,
 //! plus the fused `spectrum` operator and the two underlying FFT paths
 //! (complex Bluestein-840 vs packed real 840→420) — the evidence that
 //! the fused real-input path is where the pipeline's throughput win
-//! comes from. `fig5_pipeline --stage-json` reports the same breakdown
-//! as JSON for `BENCH_fig5.json`.
+//! comes from. The detector chain (`saxanomaly` → `trigger` →
+//! `cutter`) is benched the same way, each operator over the records
+//! the stage before it emits for a synthesized paper clip.
+//! `fig5_pipeline --stage-json` reports the same breakdown as JSON for
+//! `BENCH_fig5.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use dynamic_river::{Payload, Record};
-use ensemble_core::ops::{Cabs, Dft, Float2Cplx, Spectrum, WelchWindow};
+use dynamic_river::{Operator, Payload, Pipeline, Record, RecordKind};
+use ensemble_core::ops::{
+    clip_to_records, Cabs, Cutter, Dft, Float2Cplx, SaxAnomaly, Spectrum, TriggerOp, WelchWindow,
+};
+use ensemble_core::prelude::{ClipSynthesizer, SpeciesCode, SynthConfig};
 use ensemble_core::{subtype, ExtractorConfig};
 use river_dsp::{Complex64, Fft, RealFft};
 use std::hint::black_box;
@@ -82,6 +88,44 @@ fn bench_operators(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_detector(c: &mut Criterion) {
+    let cfg = ExtractorConfig::paper();
+    let clip = ClipSynthesizer::new(SynthConfig::paper()).clip(SpeciesCode::Noca, 3);
+    let usable = clip.samples.len() - clip.samples.len() % cfg.record_len;
+    let records = clip_to_records(
+        &clip.samples[..usable],
+        cfg.sample_rate,
+        cfg.record_len,
+        &[],
+    );
+    let audio = records
+        .iter()
+        .filter(|r| r.kind == RecordKind::Data && r.subtype == subtype::AUDIO)
+        .count();
+
+    let mut group = c.benchmark_group("stage_ns");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(audio as u64));
+
+    // Each stage runs over what the stage before it emits.
+    let stages: [Box<dyn Operator>; 3] = [
+        Box::new(SaxAnomaly::new(cfg)),
+        Box::new(TriggerOp::new(cfg)),
+        Box::new(Cutter::new(cfg)),
+    ];
+    let mut input = records;
+    for stage in &stages {
+        group.bench_function(stage.name(), |b| {
+            let mut op = stage.clone_op().expect("detector operators clone");
+            b.iter(|| run_op(op.as_mut(), &input));
+        });
+        let mut p = Pipeline::new();
+        p.add_boxed(stage.clone_op().expect("detector operators clone"));
+        input = p.run(input).expect("detector stage run");
+    }
+    group.finish();
+}
+
 fn bench_fft_paths(c: &mut Criterion) {
     let n = ExtractorConfig::paper().record_len;
     let x = random_samples(n, 7);
@@ -125,5 +169,5 @@ fn bench_fft_paths(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_operators, bench_fft_paths);
+criterion_group!(benches, bench_operators, bench_detector, bench_fft_paths);
 criterion_main!(benches);

@@ -45,9 +45,12 @@
 //!
 //! `--stage-json` skips the full run and instead times the spectral
 //! chain stage by stage (cumulative operator-chain prefixes over the
-//! same audio records, differenced), printing one
-//! `{"stage": …, "ns_per_record": …}` line per stage — the per-stage
-//! evidence behind the fused path's throughput claim (DESIGN.md §14).
+//! same audio records, differenced) and the detector chain
+//! (`saxanomaly` → `trigger` → `cutter`) one operator at a time over
+//! the records the previous stage emits, printing one
+//! `{"stage": …, "ns_per_record": …}` line per stage, per audio record —
+//! the per-stage evidence behind the fused spectral path and the
+//! detector's record kernel (DESIGN.md §14).
 //!
 //! `--serve-json` skips the pipeline run and instead measures the
 //! event-driven service layer (DESIGN.md §17): `--sessions M`
@@ -111,14 +114,20 @@ fn wire_json(which: &str, cfg: &ExtractorConfig, samples: &[f64]) {
     );
 }
 
-/// `--stage-json`: per-stage cost of the spectral chain. Each
-/// cumulative prefix of the oracle chain (and the fused `spectrum`
-/// operator) is timed over the same pool of audio records; differencing
-/// adjacent prefixes isolates one stage's ns/record. Best-of-3 runs,
-/// with an empty pipeline timed as the framework baseline.
+/// `--stage-json`: per-stage cost of the spectral and detector chains.
+/// Each cumulative prefix of the oracle spectral chain (and the fused
+/// `spectrum` operator) is timed over the same pool of audio records,
+/// and differencing adjacent prefixes isolates one stage. Each of
+/// `saxanomaly`, `trigger` and `cutter` is timed alone over what the
+/// stage before it emits for two scoped copies of the clip, so detector
+/// state resets per clip as in production. Every line is ns per audio
+/// record; best-of-3 runs, with an empty pipeline over the same input
+/// timed as the framework baseline.
 fn stage_json(cfg: &ExtractorConfig, samples: &[f64]) {
-    use dynamic_river::{Operator, Payload, Pipeline, Record};
-    use ensemble_core::ops::{Cabs, Dft, Float2Cplx, Spectrum, WelchWindow};
+    use dynamic_river::{Operator, Payload, Pipeline, Record, RecordKind};
+    use ensemble_core::ops::{
+        Cabs, Cutter, Dft, Float2Cplx, SaxAnomaly, Spectrum, TriggerOp, WelchWindow,
+    };
     use ensemble_core::subtype;
 
     let mut records: Vec<Record> = Vec::new();
@@ -130,16 +139,18 @@ fn stage_json(cfg: &ExtractorConfig, samples: &[f64]) {
             }
         }
     }
-    let n = records.len() as f64;
+    let clips: Vec<Record> = (0..2)
+        .flat_map(|_| clip_to_records(samples, cfg.sample_rate, cfg.record_len, &[]))
+        .collect();
 
-    let time_chain = |ops: &dyn Fn() -> Vec<Box<dyn Operator>>| -> f64 {
+    let time_chain = |input: &[Record], ops: &dyn Fn() -> Vec<Box<dyn Operator>>| -> f64 {
         let mut best = f64::INFINITY;
         for _ in 0..3 {
             let mut p = Pipeline::new();
             for op in ops() {
                 p.add_boxed(op);
             }
-            let input = records.clone();
+            let input = input.to_vec();
             let t0 = std::time::Instant::now();
             let out = p.run(input).expect("stage bench run");
             best = best.min(t0.elapsed().as_secs_f64());
@@ -147,23 +158,33 @@ fn stage_json(cfg: &ExtractorConfig, samples: &[f64]) {
         }
         best
     };
+    let audio_count = |input: &[Record]| {
+        input
+            .iter()
+            .filter(|r| r.kind == RecordKind::Data && r.subtype == subtype::AUDIO)
+            .count() as f64
+    };
+    let per = |hi: f64, lo: f64, n: f64| ((hi - lo) / n * 1e9).max(0.0);
 
-    let t_empty = time_chain(&Vec::new);
-    let t_w = time_chain(&|| vec![Box::new(WelchWindow::new()) as Box<dyn Operator>]);
-    let t_wf = time_chain(&|| {
+    let n = audio_count(&records);
+    let t_empty = time_chain(&records, &Vec::new);
+    let t_w = time_chain(&records, &|| {
+        vec![Box::new(WelchWindow::new()) as Box<dyn Operator>]
+    });
+    let t_wf = time_chain(&records, &|| {
         vec![
             Box::new(WelchWindow::new()) as Box<dyn Operator>,
             Box::new(Float2Cplx::new()),
         ]
     });
-    let t_wfd = time_chain(&|| {
+    let t_wfd = time_chain(&records, &|| {
         vec![
             Box::new(WelchWindow::new()) as Box<dyn Operator>,
             Box::new(Float2Cplx::new()),
             Box::new(Dft::new()),
         ]
     });
-    let t_wfdc = time_chain(&|| {
+    let t_wfdc = time_chain(&records, &|| {
         vec![
             Box::new(WelchWindow::new()) as Box<dyn Operator>,
             Box::new(Float2Cplx::new()),
@@ -171,17 +192,41 @@ fn stage_json(cfg: &ExtractorConfig, samples: &[f64]) {
             Box::new(Cabs::new()),
         ]
     });
-    let t_spec = time_chain(&|| vec![Box::new(Spectrum::new()) as Box<dyn Operator>]);
+    let t_spec = time_chain(&records, &|| {
+        vec![Box::new(Spectrum::new()) as Box<dyn Operator>]
+    });
 
-    let per = |hi: f64, lo: f64| ((hi - lo) / n * 1e9).max(0.0);
+    // Detector stages: each is timed alone over the records the stage
+    // before it emits, against an empty pipeline over the same input.
+    let n_clip = audio_count(&clips);
+    let mut stage_input = clips;
+    let mut detector_ns = Vec::new();
+    let detector: [Box<dyn Operator>; 3] = [
+        Box::new(SaxAnomaly::new(*cfg)),
+        Box::new(TriggerOp::new(*cfg)),
+        Box::new(Cutter::new(*cfg)),
+    ];
+    for op in &detector {
+        let fresh = || op.clone_op().expect("detector operators clone");
+        let t_base = time_chain(&stage_input, &Vec::new);
+        let t_stage = time_chain(&stage_input, &|| vec![fresh()]);
+        detector_ns.push((op.name(), per(t_stage, t_base, n_clip)));
+        let mut p = Pipeline::new();
+        p.add_boxed(fresh());
+        stage_input = p.run(stage_input).expect("detector stage run");
+    }
+
     for (stage, ns) in [
-        ("welchwindow", per(t_w, t_empty)),
-        ("float2cplx", per(t_wf, t_w)),
-        ("dft", per(t_wfd, t_wf)),
-        ("cabs", per(t_wfdc, t_wfd)),
-        ("oracle_chain", per(t_wfdc, t_empty)),
-        ("spectrum", per(t_spec, t_empty)),
-    ] {
+        ("welchwindow", per(t_w, t_empty, n)),
+        ("float2cplx", per(t_wf, t_w, n)),
+        ("dft", per(t_wfd, t_wf, n)),
+        ("cabs", per(t_wfdc, t_wfd, n)),
+        ("oracle_chain", per(t_wfdc, t_empty, n)),
+        ("spectrum", per(t_spec, t_empty, n)),
+    ]
+    .into_iter()
+    .chain(detector_ns)
+    {
         println!("{{\"stage\": \"{stage}\", \"ns_per_record\": {ns:.0}}}");
     }
 }

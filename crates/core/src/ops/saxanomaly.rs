@@ -10,7 +10,7 @@
 
 use crate::config::ExtractorConfig;
 use crate::{scope_type, subtype};
-use dynamic_river::{Operator, Payload, PipelineError, Record, RecordKind, Sink};
+use dynamic_river::{Operator, Payload, PipelineError, Record, RecordKind, SampleBuf, Sink};
 use river_dsp::stats::MovingAverage;
 use river_sax::anomaly::BitmapAnomaly;
 
@@ -59,10 +59,14 @@ impl Operator for SaxAnomaly {
                         "audio record without F64 payload",
                     ));
                 };
-                let scores: Vec<f64> = samples
-                    .iter()
-                    .map(|&x| self.smoother.push(self.detector.push(x)))
-                    .collect();
+                // Score the whole record in one kernel call, then smooth
+                // in place: one allocation, the emitted payload.
+                let mut scores = SampleBuf::zeroed(samples.len());
+                let buf = scores.make_mut();
+                self.detector.push_into(samples, buf);
+                for s in buf.iter_mut() {
+                    *s = self.smoother.push(*s);
+                }
                 let score_record = Record::data(subtype::SCORE, Payload::f64(scores))
                     .with_seq(record.seq)
                     .with_depth(record.scope_depth);

@@ -9,7 +9,7 @@ use crate::config::ExtractorConfig;
 use crate::extract::AdaptiveTrigger;
 use crate::{scope_type, subtype};
 use dynamic_river::telemetry::{EventKind, EventSink};
-use dynamic_river::{Operator, Payload, PipelineError, Record, RecordKind, Sink};
+use dynamic_river::{Operator, Payload, PipelineError, Record, RecordKind, SampleBuf, Sink};
 
 /// The `trigger` operator.
 #[derive(Clone)]
@@ -65,21 +65,17 @@ impl Operator for TriggerOp {
                         "score record without F64 payload",
                     ));
                 };
-                let values: Vec<f64> = scores
-                    .iter()
-                    .map(|&s| {
-                        let high = self.trigger.push(s);
-                        if high && !self.was_high {
-                            self.events.emit(EventKind::TriggerFire, record.seq);
-                        }
-                        self.was_high = high;
-                        if high {
-                            1.0
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect();
+                let mut values = SampleBuf::zeroed(scores.len());
+                for (v, &s) in values.make_mut().iter_mut().zip(scores.iter()) {
+                    let high = self.trigger.push(s);
+                    if high && !self.was_high {
+                        self.events.emit(EventKind::TriggerFire, record.seq);
+                    }
+                    self.was_high = high;
+                    if high {
+                        *v = 1.0;
+                    }
+                }
                 out.push(
                     Record::data(subtype::TRIGGER, Payload::f64(values))
                         .with_seq(record.seq)

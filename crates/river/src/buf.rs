@@ -140,6 +140,15 @@ impl SampleBuf {
         })
     }
 
+    /// A uniquely owned buffer of `len` zeros in one allocation: the
+    /// output buffer of an operator that computes every sample, filled
+    /// in place through [`make_mut`](Self::make_mut) with no copy.
+    /// Collecting a `Vec` and converting it would allocate twice and
+    /// copy once.
+    pub fn zeroed(len: usize) -> SampleBuf {
+        Self::collect_exact(std::iter::repeat_n(0.0, len))
+    }
+
     /// Copy-on-write mutable access to the view's samples.
     ///
     /// When the backing allocation is uniquely owned, this is in-place
@@ -393,6 +402,18 @@ mod tests {
         buf.make_mut()[0] = 9.0;
         assert_eq!(Arc::as_ptr(buf.backing()), before, "unique: no copy");
         assert_eq!(&buf[..], &[9.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn zeroed_is_unique_and_fills_in_place() {
+        let mut buf = SampleBuf::zeroed(3);
+        assert_eq!(&buf[..], &[0.0; 3]);
+        assert!(!buf.is_shared());
+        let before = Arc::as_ptr(buf.backing());
+        buf.make_mut()[1] = 5.0;
+        assert_eq!(Arc::as_ptr(buf.backing()), before, "unique: no copy");
+        assert_eq!(&buf[..], &[0.0, 5.0, 0.0]);
+        assert!(SampleBuf::zeroed(0).is_empty());
     }
 
     #[test]

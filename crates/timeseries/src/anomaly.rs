@@ -15,6 +15,29 @@
 //! integer running sums (Σa², Σb², Σa·b) rather than re-scanning all
 //! alphabetⁿ cells — satisfying the paper's requirement of "processor
 //! and memory efficient techniques" (§5).
+//!
+//! # The record kernel
+//!
+//! [`BitmapAnomaly::push_into`] is the detector's only code path; it
+//! scores a whole slice (the `saxanomaly` operator passes one 840-sample
+//! audio record per call) and [`BitmapAnomaly::push`] is its one-sample
+//! wrapper. Per sample it normalizes, quantizes, and moves four grams
+//! across the window edges — the newest gram enters the lead window,
+//! one leaves it for the lag window, and the oldest leaves the lag
+//! window. Three things keep that cheap:
+//!
+//! - the symbol ring is sized to a power of two and indexed by mask, so
+//!   no ring access pays an integer `%`;
+//! - each gram's flattened cell index is computed once, when its last
+//!   symbol arrives, into a parallel `u32` ring; the three later window
+//!   moves of that gram read the cached index;
+//! - the running sums, both bitmap totals and the sample clock live in
+//!   locals for the whole call and are written back once at its end.
+//!
+//! The sums are exact integers, so none of this changes a score: the
+//! f64 distance expression is evaluated with the same operands in the
+//! same order as a sample-at-a-time detector would, and every score is
+//! bit-identical however the stream is split into calls.
 
 use crate::bitmap::SaxBitmap;
 use crate::gaussian::sax_breakpoints;
@@ -82,9 +105,16 @@ impl Default for AnomalyConfig {
 pub struct BitmapAnomaly {
     config: AnomalyConfig,
     breakpoints: Vec<f64>,
-    /// Ring buffer of recent symbols; sized to cover both windows plus
-    /// one evicting gram.
+    /// Ring buffer of recent symbols, indexed by absolute sample
+    /// position masked to its length: the power of two at or above
+    /// `2·window + ngram`, which covers both windows plus one evicting
+    /// gram.
     ring: Vec<Symbol>,
+    /// Flattened bitmap cell of the gram starting at each position,
+    /// parallel to `ring`: written once when the gram's last symbol
+    /// arrives, read when the gram later leaves the lead window, enters
+    /// the lag window and leaves it.
+    cells: Vec<u32>,
     /// Samples consumed so far.
     t: u64,
     lead: SaxBitmap,
@@ -118,7 +148,7 @@ impl BitmapAnomaly {
             config.ngram >= 1 && config.ngram <= config.window,
             "ngram must be in 1..=window"
         );
-        let ring_len = 2 * config.window + config.ngram;
+        let ring_len = (2 * config.window + config.ngram).next_power_of_two();
         let sliding_stats = match config.normalization {
             Normalization::Sliding(w) => {
                 assert!(w > 0, "sliding normalization window must be non-zero");
@@ -129,6 +159,7 @@ impl BitmapAnomaly {
         BitmapAnomaly {
             breakpoints: sax_breakpoints(config.alphabet),
             ring: vec![0; ring_len],
+            cells: vec![0; ring_len],
             t: 0,
             lead: SaxBitmap::new(config.alphabet, config.ngram),
             lag: SaxBitmap::new(config.alphabet, config.ngram),
@@ -157,122 +188,113 @@ impl BitmapAnomaly {
         self.t >= 2 * self.config.window as u64
     }
 
-    #[inline]
-    fn quantize(&self, z: f64) -> Symbol {
-        self.breakpoints.partition_point(|&b| b <= z) as Symbol
-    }
-
-    #[inline]
-    fn ring_get(&self, abs: u64) -> Symbol {
-        self.ring[(abs % self.ring.len() as u64) as usize]
-    }
-
-    /// Flattened bitmap cell index of the n-gram starting at absolute
-    /// position `start` — same row-major layout as
-    /// [`SaxBitmap::index_of`], computed straight off the ring buffer
-    /// with no intermediate gram slice.
-    #[inline]
-    fn gram_index_at(&self, start: u64) -> usize {
-        let mut idx = 0usize;
-        for i in 0..self.config.ngram as u64 {
-            idx = idx * self.config.alphabet + self.ring_get(start + i) as usize;
-        }
-        idx
-    }
-
-    /// The gram starting at `start` enters the lead window.
-    #[inline]
-    fn lead_enter(&mut self, start: u64) {
-        let idx = self.gram_index_at(start);
-        let old = self.lead.add_index(idx);
-        self.saa += 2 * old + 1;
-        self.sab += self.lag.count_at(idx);
-    }
-
-    /// The gram starting at `start` leaves the lead window.
-    #[inline]
-    fn lead_leave(&mut self, start: u64) {
-        let idx = self.gram_index_at(start);
-        let old = self.lead.remove_index(idx);
-        self.saa -= 2 * old - 1;
-        self.sab -= self.lag.count_at(idx);
-    }
-
-    /// The gram starting at `start` enters the lag window.
-    #[inline]
-    fn lag_enter(&mut self, start: u64) {
-        let idx = self.gram_index_at(start);
-        let old = self.lag.add_index(idx);
-        self.sbb += 2 * old + 1;
-        self.sab += self.lead.count_at(idx);
-    }
-
-    /// The gram starting at `start` leaves the lag window.
-    #[inline]
-    fn lag_leave(&mut self, start: u64) {
-        let idx = self.gram_index_at(start);
-        let old = self.lag.remove_index(idx);
-        self.sbb -= 2 * old - 1;
-        self.sab -= self.lead.count_at(idx);
-    }
-
     /// Consumes one sample and returns the current anomaly score
-    /// (`0.0` until warm-up completes).
+    /// (`0.0` until warm-up completes). A one-sample
+    /// [`push_into`](Self::push_into).
     pub fn push(&mut self, x: f64) -> f64 {
-        let (mean, std) = if let Some(s) = &mut self.sliding_stats {
-            s.push(x);
-            (s.mean(), s.population_std_dev())
-        } else {
-            self.global_stats.push(x);
-            (
-                self.global_stats.mean(),
-                self.global_stats.population_std_dev(),
-            )
-        };
-        let symbol = self.quantize(znorm_value(x, mean, std));
+        let mut score = [0.0];
+        self.push_into(&[x], &mut score);
+        score[0]
+    }
 
-        let t = self.t; // absolute index of this sample
+    /// Consumes every sample of `xs` in order, writing the anomaly score
+    /// after each one to the same position of `out` (`0.0` until warm-up
+    /// completes). Scores are bit-identical to pushing the samples one
+    /// at a time, whatever the slicing of the stream into calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` and `out` differ in length.
+    pub fn push_into(&mut self, xs: &[f64], out: &mut [f64]) {
+        assert_eq!(
+            xs.len(),
+            out.len(),
+            "push_into: input and output lengths differ"
+        );
         let w = self.config.window as u64;
         let n = self.config.ngram as u64;
-        let ring_len = self.ring.len() as u64;
-        self.ring[(t % ring_len) as usize] = symbol;
+        let alphabet = self.config.alphabet;
+        let mask = self.ring.len() as u64 - 1;
+        let breakpoints = &self.breakpoints[..];
+        let ring = &mut self.ring[..];
+        let cells = &mut self.cells[..];
+        let (lead, lead_total) = self.lead.counts_and_total_mut();
+        let (lag, lag_total) = self.lag.counts_and_total_mut();
+        let (mut ta, mut tb) = (*lead_total, *lag_total);
+        let (mut saa, mut sbb, mut sab) = (self.saa, self.sbb, self.sab);
+        let mut t = self.t;
 
-        // Newest gram (ending at t) enters the lead window.
-        if t + 1 >= n {
-            self.lead_enter(t + 1 - n);
-        }
-        // The gram starting at t-w slides out of the lead window.
-        if t >= w {
-            self.lead_leave(t - w);
-            // It is now fully inside the lag window once its end crosses
-            // the boundary: gram starting at t-w-n+1 enters lag.
-            if t + 1 >= w + n {
-                self.lag_enter(t + 1 - w - n);
+        for (&x, score) in xs.iter().zip(out.iter_mut()) {
+            let (mean, std) = if let Some(s) = &mut self.sliding_stats {
+                s.push(x);
+                (s.mean(), s.population_std_dev())
+            } else {
+                self.global_stats.push(x);
+                (
+                    self.global_stats.mean(),
+                    self.global_stats.population_std_dev(),
+                )
+            };
+            let z = znorm_value(x, mean, std);
+            ring[(t & mask) as usize] = breakpoints.partition_point(|&b| b <= z) as Symbol;
+
+            // Newest gram (ending at t) enters the lead window; its cell
+            // is cached for the three later moves.
+            if t + 1 >= n {
+                let start = t + 1 - n;
+                let mut idx = 0usize;
+                for i in start..=t {
+                    idx = idx * alphabet + ring[(i & mask) as usize] as usize;
+                }
+                cells[(start & mask) as usize] = idx as u32;
+                enter(lead, lag, idx, &mut ta, &mut saa, &mut sab);
             }
-        }
-        // The gram starting at t-2w slides out of the lag window.
-        if t >= 2 * w {
-            self.lag_leave(t - 2 * w);
+            // The gram starting at t-w slides out of the lead window.
+            if t >= w {
+                let idx = cells[((t - w) & mask) as usize] as usize;
+                leave(lead, lag, idx, &mut ta, &mut saa, &mut sab);
+                // It is now fully inside the lag window once its end
+                // crosses the boundary: gram starting at t-w-n+1 enters
+                // lag.
+                if t + 1 >= w + n {
+                    let idx = cells[((t + 1 - w - n) & mask) as usize] as usize;
+                    enter(lag, lead, idx, &mut tb, &mut sbb, &mut sab);
+                }
+            }
+            // The gram starting at t-2w slides out of the lag window.
+            if t >= 2 * w {
+                let idx = cells[((t - 2 * w) & mask) as usize] as usize;
+                leave(lag, lead, idx, &mut tb, &mut sbb, &mut sab);
+            }
+
+            t += 1;
+            *score = if t >= 2 * w {
+                // Same Euclidean distance as `SaxBitmap::distance`, from
+                // the O(1)-maintained exact sums; clamp tiny negative
+                // rounding residue when the matrices are
+                // (near-)identical.
+                let ta = ta.max(1) as f64;
+                let tb = tb.max(1) as f64;
+                let d2 =
+                    saa as f64 / (ta * ta) - 2.0 * sab as f64 / (ta * tb) + sbb as f64 / (tb * tb);
+                d2.max(0.0).sqrt()
+            } else {
+                0.0
+            };
         }
 
-        self.t += 1;
-        if self.warmed_up() {
-            // Same Euclidean distance as `SaxBitmap::distance`, from the
-            // O(1)-maintained exact sums; clamp tiny negative rounding
-            // residue when the matrices are (near-)identical.
-            let ta = self.lead.total().max(1) as f64;
-            let tb = self.lag.total().max(1) as f64;
-            let d2 = self.saa as f64 / (ta * ta) - 2.0 * self.sab as f64 / (ta * tb)
-                + self.sbb as f64 / (tb * tb);
-            d2.max(0.0).sqrt()
-        } else {
-            0.0
-        }
+        *lead_total = ta;
+        *lag_total = tb;
+        self.saa = saa;
+        self.sbb = sbb;
+        self.sab = sab;
+        self.t = t;
     }
 
     /// Resets all stream state (windows, counters and normalization).
     pub fn reset(&mut self) {
         self.ring.fill(0);
+        self.cells.fill(0);
         self.t = 0;
         self.lead.clear();
         self.lag.clear();
@@ -286,12 +308,55 @@ impl BitmapAnomaly {
     }
 }
 
+/// A gram with cell `idx` enters one window: bumps its count and total
+/// and updates that window's square sum (Σa² gains 2·old + 1) and the
+/// cross sum against the `other` window's counts.
+#[inline]
+fn enter(
+    counts: &mut [u64],
+    other: &[u64],
+    idx: usize,
+    total: &mut u64,
+    square: &mut u64,
+    cross: &mut u64,
+) {
+    let old = counts[idx];
+    counts[idx] = old + 1;
+    *total += 1;
+    *square += 2 * old + 1;
+    *cross += other[idx];
+}
+
+/// A gram with cell `idx` leaves one window: the inverse of [`enter`].
+///
+/// # Panics
+///
+/// Panics if the cell's count is already zero — the window bookkeeping
+/// would be corrupted.
+#[inline]
+fn leave(
+    counts: &mut [u64],
+    other: &[u64],
+    idx: usize,
+    total: &mut u64,
+    square: &mut u64,
+    cross: &mut u64,
+) {
+    let old = counts[idx];
+    assert!(old > 0, "removing n-gram with zero count");
+    counts[idx] = old - 1;
+    *total -= 1;
+    *square -= 2 * old - 1;
+    *cross -= other[idx];
+}
+
 /// Batch helper: anomaly score for every sample of `series` under
 /// `config` (single scan, same output as feeding [`BitmapAnomaly`]
 /// sample by sample).
 pub fn anomaly_scores(series: &[f64], config: AnomalyConfig) -> Vec<f64> {
-    let mut det = BitmapAnomaly::new(config);
-    series.iter().map(|&x| det.push(x)).collect()
+    let mut scores = vec![0.0; series.len()];
+    BitmapAnomaly::new(config).push_into(series, &mut scores);
+    scores
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ use crate::sax::Symbol;
 /// use river_sax::SaxBitmap;
 ///
 /// let mut bm = SaxBitmap::new(4, 2);
-/// bm.count_sequence(&[0, 1, 2, 3]);   // trigrams: (0,1), (1,2), (2,3)
+/// bm.count_sequence(&[0, 1, 2, 3]);   // bigrams: (0,1), (1,2), (2,3)
 /// assert_eq!(bm.total(), 3);
 /// assert!((bm.frequency(&[0, 1]) - 1.0 / 3.0).abs() < 1e-12);
 /// ```
@@ -119,8 +119,7 @@ impl SaxBitmap {
 
     /// Increments the count at a flattened cell index (see
     /// [`index_of`](Self::index_of)), returning the count *before* the
-    /// increment. The streaming detector uses this to maintain running
-    /// distance sums without materializing n-gram slices.
+    /// increment.
     ///
     /// # Panics
     ///
@@ -149,14 +148,13 @@ impl SaxBitmap {
         old
     }
 
-    /// Raw count at a flattened cell index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= self.cells()`.
+    /// The flattened counts and the total, mutably — for the streaming
+    /// detector's record kernel, which keeps the total in a local for a
+    /// whole call and writes it back once. The caller keeps the total
+    /// equal to the sum of the counts.
     #[inline]
-    pub fn count_at(&self, idx: usize) -> u64 {
-        self.counts[idx]
+    pub(crate) fn counts_and_total_mut(&mut self) -> (&mut [u64], &mut u64) {
+        (&mut self.counts, &mut self.total)
     }
 
     /// Counts every n-gram of a symbol sequence (batch construction).

@@ -2,7 +2,8 @@
 # CI entry point: build, test, lint, docs, bench compile, perf gate.
 #
 #   ./ci.sh              # everything (tier-1 + clippy + fmt + docs +
-#                        #   bench compile + examples + perf json + gate)
+#                        #   bench compile + riverbench build/tests +
+#                        #   examples + perf json + gate)
 #   ./ci.sh quick        # tier-1 only (build --release && test -q)
 #   ./ci.sh lint-chains  # river-lint over every shipped pipeline chain
 #   ./ci.sh bench-check  # compare BENCH_fig5.json vs BENCH_baseline.json
@@ -214,6 +215,13 @@ if [ "${1:-}" != "quick" ]; then
 
     phase "cargo bench --no-run (benches must compile)"
     cargo bench --no-run --quiet
+
+    # The benchmark in riverbench/ is a package of its own that builds
+    # the library crates by path; a public-API change must keep it
+    # compiling and its unit tests green.
+    phase "riverbench (release build + unit tests)"
+    cargo build --release --offline --manifest-path riverbench/Cargo.toml
+    cargo test --offline --manifest-path riverbench/Cargo.toml
 
     # Exercise the streaming execution path end-to-end: all three
     # examples drive real pipelines through the fused streaming

@@ -25,11 +25,12 @@
 //!   `CloseScope` — or a `BadCloseScope` when an upstream failure forces
 //!   closure before the intended point ([`scope::ScopeTracker`]).
 //! - [`operator::Operator`] — the processing trait; [`pipeline`] runs
-//!   operator chains as a fused streaming chain
-//!   ([`pipeline::Pipeline::run_streaming`], constant memory over
-//!   unbounded streams, per-stage counters), stage-by-stage in batch,
-//!   with one thread per operator, or data-parallel across worker
-//!   shards ([`pipeline::Pipeline::run_sharded`]).
+//!   operator chains through one chain-execution core: as a fused
+//!   streaming chain ([`pipeline::Pipeline::run_streaming`], constant
+//!   memory over unbounded streams, per-stage counters), data-parallel
+//!   across worker shards ([`pipeline::Pipeline::run_sharded`]), per
+//!   server session, or per host of a relocatable segment; a
+//!   stage-by-stage batch runner is kept as a test oracle.
 //! - [`shard`] — the scope-sharded runtime: a splitter that partitions
 //!   the stream at top-level scope boundaries, one cloned chain per
 //!   worker over bounded queues, and a deterministic ordered merge
@@ -53,7 +54,9 @@
 //!   `DESIGN.md` §17).
 //! - [`segment`] — named operator chains on in-process *hosts*, with a
 //!   coordinator that relocates segments between hosts at scope
-//!   boundaries ([`segment::RelocatablePipeline`]).
+//!   boundaries ([`segment::RelocatablePipeline`]), and network
+//!   segments that stream one `streamin` session through a chain into
+//!   a `streamout` ([`segment::run_network_segment`]).
 //! - [`analyze`] — static chain verification: operators declare
 //!   [`Signature`]s, [`pipeline::Pipeline::check`] walks a chain
 //!   propagating abstract record classes and reports typed

@@ -7,20 +7,21 @@
 //! *scope boundaries* — the stream is cut only when no scopes are open,
 //! so downstream state never sees a torn scope.
 //!
-//! Hosts are modeled as named executors (threads). A
-//! [`RelocatablePipeline`] runs one segment instance at a time; a
-//! relocation command makes the coordinator retire the current instance
-//! at the next balanced point and start a fresh instance "on" the target
-//! host. For cross-machine composition over TCP, see
-//! [`run_network_segment`].
+//! Hosts are modeled as names. A [`RelocatablePipeline`] runs one
+//! segment instance at a time, inline on its coordinator thread, through
+//! the same chain-execution core as every other runner; a relocation
+//! command makes the coordinator finish the current instance at the
+//! next balanced point and start a fresh instance "on" the target host.
+//! For cross-machine composition over TCP, see [`run_network_segment`].
 
 use crate::error::PipelineError;
 use crate::net::{StreamEnd, StreamIn, StreamOut};
-use crate::operator::{Operator, Sink};
-use crate::pipeline::Pipeline;
+use crate::operator::{FnSink, NullSink, Operator, Sink};
+use crate::pipeline::{ChainRun, Pipeline};
 use crate::record::Record;
 use crate::scope::ScopeTracker;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crate::source::FnSource;
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::net::{TcpListener, ToSocketAddrs};
 use std::thread::{self, JoinHandle};
 
@@ -57,55 +58,11 @@ pub enum SegmentCommand {
     },
 }
 
-struct Instance {
-    feed_tx: Sender<Record>,
-    drainer: JoinHandle<Result<(), PipelineError>>,
-    stages: Vec<JoinHandle<Result<(), PipelineError>>>,
-    host: String,
-}
-
-fn spawn_instance(pipeline: Pipeline, output: Sender<Record>, host: String) -> Instance {
-    let capacity = pipeline.channel_capacity();
-    let (stages, feed_tx, out_rx) = pipeline.spawn_threaded(capacity);
-    // Continuous drainer: forwards the instance's output so bounded
-    // channels never deadlock between relocations.
-    let drainer = thread::spawn(move || -> Result<(), PipelineError> {
-        for r in out_rx {
-            output
-                .send(r)
-                .map_err(|_| PipelineError::Disconnected("segment output closed".into()))?;
-        }
-        Ok(())
-    });
-    Instance {
-        feed_tx,
-        drainer,
-        stages,
-        host,
-    }
-}
-
-fn retire(instance: Instance) -> Result<u64, PipelineError> {
-    let Instance {
-        feed_tx,
-        drainer,
-        stages,
-        ..
-    } = instance;
-    drop(feed_tx); // EOS to the instance
-    let mut first_error = None;
-    for h in stages {
-        if let Err(e) = h.join().expect("stage thread panicked") {
-            first_error.get_or_insert(e);
-        }
-    }
-    if let Err(e) = drainer.join().expect("drainer thread panicked") {
-        first_error.get_or_insert(e);
-    }
-    match first_error {
-        Some(e) => Err(e),
-        None => Ok(0),
-    }
+/// Pre-flights a factory-built segment and instantiates its chain.
+fn start_instance(pipeline: Pipeline) -> Result<ChainRun, PipelineError> {
+    pipeline.preflight(false)?;
+    let telemetry = pipeline.telemetry();
+    Ok(ChainRun::new(pipeline.into_ops(), &telemetry, 0))
 }
 
 /// A running, relocatable segment.
@@ -150,7 +107,8 @@ pub struct RelocatablePipeline {
 impl RelocatablePipeline {
     /// Spawns the coordinator with an initial segment instance on
     /// `initial_host`. `factory` builds a fresh instance of the segment
-    /// for each host it runs on.
+    /// for each host it runs on; every instance is pre-flighted
+    /// ([`Pipeline::check`]) before it sees a record.
     pub fn spawn<F>(
         factory: F,
         input: Receiver<Record>,
@@ -163,48 +121,43 @@ impl RelocatablePipeline {
         let (control_tx, control_rx) = unbounded::<SegmentCommand>();
         let initial_host = initial_host.into();
         let handle = thread::spawn(move || -> Result<SegmentReport, PipelineError> {
+            let mut sink = ChannelSink(output);
             let mut tracker = ScopeTracker::new();
             let mut migrations = Vec::new();
             let mut records_in = 0u64;
             let mut pending: Option<String> = None;
-            let mut current = spawn_instance(factory(), output.clone(), initial_host);
+            let mut host = initial_host;
+            let mut current = start_instance(factory())?;
 
             for record in input {
                 // Absorb any relocation commands.
                 while let Ok(SegmentCommand::Relocate { to_host }) = control_rx.try_recv() {
                     pending = Some(to_host);
                 }
-                // Cut only at scope boundaries (nothing open).
-                if let Some(to_host) = pending.take() {
-                    if tracker.is_balanced() {
-                        let from = current.host.clone();
-                        retire(current)?;
+                // Cut only at scope boundaries (nothing open); otherwise
+                // the command stays pending.
+                if tracker.is_balanced() {
+                    if let Some(to_host) = pending.take() {
+                        current.finish(&mut sink)?;
+                        current = start_instance(factory())?;
                         migrations.push(Migration {
-                            from,
-                            to: to_host.clone(),
+                            from: std::mem::replace(&mut host, to_host.clone()),
+                            to: to_host,
                             at_record: records_in,
                         });
-                        current = spawn_instance(factory(), output.clone(), to_host);
-                    } else {
-                        // Not balanced yet: keep the command pending.
-                        pending = Some(to_host);
                     }
                 }
                 // Tolerate scope noise in transit; the tracker only guides
                 // cut points.
                 let _ = tracker.observe(&record);
                 records_in += 1;
-                current
-                    .feed_tx
-                    .send(record)
-                    .map_err(|_| PipelineError::Disconnected("segment instance gone".into()))?;
+                current.push(record, &mut sink)?;
             }
-            let final_host = current.host.clone();
-            retire(current)?;
+            current.finish(&mut sink)?;
             Ok(SegmentReport {
                 migrations,
                 records_in,
-                final_host,
+                final_host: host,
             })
         });
         RelocatablePipeline { control_tx, handle }
@@ -224,23 +177,36 @@ impl RelocatablePipeline {
     ///
     /// # Errors
     ///
-    /// Returns the first pipeline error raised by any instance.
+    /// Returns [`PipelineError::Analysis`] when a factory-built instance
+    /// fails pre-flight, otherwise the first pipeline error raised by
+    /// any instance or by the output channel.
     pub fn join(self) -> Result<SegmentReport, PipelineError> {
         self.handle.join().expect("segment coordinator panicked")
     }
 }
 
 /// Runs a network-bounded segment: accepts one upstream connection on
-/// `listener` (`streamin`), processes records through `pipeline`, and
-/// forwards results to `downstream` (`streamout`). Returns how the
-/// upstream session ended.
+/// `listener` (`streamin`), connects to `downstream` (`streamout`), and
+/// streams every record through `pipeline` as it arrives
+/// ([`Pipeline::run_streaming`]). Returns how the upstream session
+/// ended.
 ///
 /// This is the building block for composing one logical pipeline across
-/// several processes/hosts.
+/// several processes/hosts. Memory stays bounded by the chain's own
+/// state whatever the session length.
+///
+/// An upstream that vanishes mid-scope is not an error: its open scopes
+/// are repaired with `BadCloseScope` records, which flow through the
+/// chain, downstream receives a clean end-of-stream, and the return
+/// value is [`StreamEnd::Unclean`].
 ///
 /// # Errors
 ///
-/// Propagates connection and operator failures.
+/// Propagates connection, decode and operator failures. When the
+/// session fails mid-stream, downstream has received the output of
+/// every record processed before the failure, then sees its connection
+/// close without the end-of-stream sentinel, so its `streamin` reports
+/// an unclean end and repairs any scope left open.
 pub fn run_network_segment<A: ToSocketAddrs>(
     listener: &TcpListener,
     downstream: A,
@@ -249,24 +215,20 @@ pub fn run_network_segment<A: ToSocketAddrs>(
     let (stream, _peer) = listener.accept()?;
     stream.set_nodelay(true)?;
     let mut streamin = StreamIn::new(stream);
-
-    // Collect, process, forward. (Streaming via channels would also work;
-    // batch keeps the failure semantics simple: the whole upstream session
-    // is one unit.)
-    let mut received: Vec<Record> = Vec::new();
-    let end = streamin.pump(&mut received)?;
-    let processed = pipeline.run(received)?;
-
     let mut out = StreamOut::connect(downstream)?;
-    let mut devnull = crate::operator::NullSink;
-    for r in processed {
-        out.on_record(r, &mut devnull)?;
-    }
-    out.on_eos(&mut devnull)?;
-    Ok(end)
+    pipeline.run_streaming(
+        FnSource(|| streamin.next_record()),
+        &mut FnSink(|r| out.on_record(r, &mut NullSink)),
+    )?;
+    out.on_eos(&mut NullSink)?;
+    Ok(streamin
+        .end()
+        .expect("the source returned None, so the stream ended"))
 }
 
-/// A sink adapter so `StreamIn::pump` can feed a `Sender` directly.
+/// A sink adapter that forwards every record into a `Sender` — the
+/// output of a [`RelocatablePipeline`], and a way for
+/// [`StreamIn::pump`] to feed a channel directly.
 #[derive(Debug, Clone)]
 pub struct ChannelSink(pub Sender<Record>);
 
@@ -278,17 +240,14 @@ impl Sink for ChannelSink {
     }
 }
 
-/// Creates a bounded record channel (convenience re-export wrapper).
-pub fn record_channel(capacity: usize) -> (Sender<Record>, Receiver<Record>) {
-    bounded(capacity)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::{DiagnosticKind, PayloadKind, RecordClass, Signature, UnmatchedPolicy};
     use crate::ops::{MapPayload, Passthrough};
     use crate::record::{Payload, RecordKind};
     use crate::scope::validate_scopes;
+    use crossbeam::channel::bounded;
 
     fn scope_burst(scope_type: u16, n: usize, base_seq: u64) -> Vec<Record> {
         let mut v = vec![Record::open_scope(scope_type, vec![])];
@@ -479,5 +438,126 @@ mod tests {
         assert_eq!(records.len(), 6);
         validate_scopes(&records).unwrap();
         assert_eq!(records[2].payload.as_f64().unwrap(), &[2.0]);
+    }
+
+    /// A pass-through whose declared signature is all the analyzer sees.
+    struct Declared(&'static str, Signature);
+
+    impl Operator for Declared {
+        fn name(&self) -> &str {
+            self.0
+        }
+        fn on_record(&mut self, record: Record, out: &mut dyn Sink) -> Result<(), PipelineError> {
+            out.push(record)
+        }
+        fn signature(&self) -> Option<Signature> {
+            Some(self.1.clone())
+        }
+    }
+
+    #[test]
+    fn relocatable_segment_preflights_its_instances() {
+        const A: RecordClass = RecordClass::of(1, PayloadKind::F64);
+        const B: RecordClass = RecordClass::of(2, PayloadKind::F64);
+        const C: RecordClass = RecordClass::of(3, PayloadKind::F64);
+        let (in_tx, in_rx) = unbounded();
+        let (out_tx, out_rx) = unbounded();
+        let seg = RelocatablePipeline::spawn(
+            || {
+                // `gate` lets only A through, so `b2c` is provably dead.
+                let mut p = Pipeline::new();
+                p.add(Declared(
+                    "gate",
+                    Signature::map(A, A).with_unmatched(UnmatchedPolicy::Drop),
+                ));
+                p.add(Declared("b2c", Signature::map(B, C)));
+                p
+            },
+            in_rx,
+            out_tx,
+            "host-a",
+        );
+        // The coordinator may already have refused the chain and hung up.
+        let _ = in_tx.send(Record::data(1, Payload::f64(vec![1.0])));
+        drop(in_tx);
+        let err = seg.join().unwrap_err();
+        let PipelineError::Analysis(diags) = &err else {
+            panic!("expected an analysis error, got {err}");
+        };
+        assert!(diags
+            .iter()
+            .any(|d| d.kind == DiagnosticKind::DeadStage && d.operator == "b2c"));
+        assert!(err.to_string().contains("RL0002"), "{err}");
+        assert_eq!(out_rx.iter().count(), 0);
+    }
+
+    #[test]
+    fn network_segment_forwards_before_upstream_closes() {
+        use std::net::TcpStream;
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let seg_listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let seg_addr = seg_listener.local_addr().unwrap();
+        let sink_listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let sink_addr = sink_listener.local_addr().unwrap();
+
+        // One complete scope whose output is several times the 8 KiB
+        // write buffer of the segment's `streamout`.
+        let mut scope = vec![Record::open_scope(1, vec![])];
+        scope.extend((0..40).map(|i| Record::data(1, Payload::f64(vec![f64::from(i); 64]))));
+        scope.push(Record::close_scope(1));
+        let sent = scope.len();
+
+        // Final sink host: reports every record the moment it arrives.
+        let (arrived_tx, arrived_rx) = mpsc::channel();
+        let sink_thread = thread::spawn(move || {
+            let (stream, _peer) = sink_listener.accept().unwrap();
+            let mut streamin = StreamIn::new(stream);
+            let mut received = 0usize;
+            while let Some(record) = streamin.next_record().unwrap() {
+                received += 1;
+                let _ = arrived_tx.send(record);
+            }
+            (streamin.end(), received)
+        });
+
+        let segment_thread = thread::spawn(move || {
+            let mut p = Pipeline::new();
+            p.add(MapPayload::new("x2", |v: &mut [f64]| {
+                v.iter_mut().for_each(|x| *x *= 2.0);
+            }));
+            run_network_segment(&seg_listener, sink_addr, p).unwrap()
+        });
+
+        // Source host: sends the scope, then holds its connection open
+        // until released.
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let upstream = thread::spawn(move || {
+            let mut out = StreamOut::new(TcpStream::connect(seg_addr).unwrap());
+            for record in scope {
+                out.on_record(record, &mut NullSink).unwrap();
+            }
+            out.keepalive().unwrap(); // flushes the scope onto the wire
+            let _ = release_rx.recv();
+            out.on_eos(&mut NullSink).unwrap();
+        });
+
+        let wait = Duration::from_secs(20);
+        let open = arrived_rx
+            .recv_timeout(wait)
+            .expect("no output downstream while the upstream session is open");
+        assert_eq!(open.kind, RecordKind::OpenScope);
+        let data = arrived_rx.recv_timeout(wait).unwrap();
+        assert_eq!(data.payload.as_f64().unwrap(), &[0.0; 64]);
+        let data = arrived_rx.recv_timeout(wait).unwrap();
+        assert_eq!(data.payload.as_f64().unwrap(), &[2.0; 64]);
+
+        release_tx.send(()).unwrap();
+        upstream.join().unwrap();
+        assert_eq!(segment_thread.join().unwrap(), StreamEnd::Clean);
+        let (end, received) = sink_thread.join().unwrap();
+        assert_eq!(end, Some(StreamEnd::Clean));
+        assert_eq!(received, sent);
     }
 }

@@ -117,10 +117,8 @@
 
 use crate::error::PipelineError;
 use crate::net::{RecordAssembler, StreamEnd};
-use crate::operator::{Operator, Sink};
-use crate::pipeline::{
-    emit_scope_event, feed_chain, flush_chain, Pipeline, SinkTotals, StageStats, StreamStats,
-};
+use crate::operator::Sink;
+use crate::pipeline::{ChainRun, Pipeline, StreamStats};
 use crate::record::Record;
 use crate::telemetry::{EventKind, EventSink, Snapshot, Telemetry, TelemetryConfig};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -588,16 +586,13 @@ struct LoopCfg {
 }
 
 /// The per-session execution state that shuttles between the loop and
-/// the worker pool: the session's cloned chain, its stage stats, its
-/// sink and its event sink. At most one of these is in flight per
-/// session, which is what serializes a session's records while
-/// different sessions execute truly in parallel.
+/// the worker pool: the session's chain instance and its sink. At most
+/// one of these is in flight per session, which is what serializes a
+/// session's records while different sessions execute truly in
+/// parallel.
 struct ExecState {
-    ops: Vec<Box<dyn Operator>>,
-    stats: Vec<StageStats>,
-    totals: SinkTotals,
+    run: ChainRun,
     sink: SessionSink,
-    events: EventSink,
 }
 
 /// One unit of chain work: records to feed, plus end-of-session
@@ -931,20 +926,7 @@ fn open_session(
     now: Instant,
 ) -> Session {
     let fork = telemetry.fork_stages();
-    let mut ops = chain.into_ops();
-    let names: Vec<String> = ops.iter().map(|op| op.name().to_string()).collect();
-    let timers = fork.stage_timers(&names);
-    let chain_events = fork.event_sink(info.id);
-    if chain_events.enabled() {
-        for op in &mut ops {
-            op.attach_events(&chain_events);
-        }
-    }
-    let stats: Vec<StageStats> = ops
-        .iter()
-        .zip(timers)
-        .map(|(op, timer)| StageStats::with_timer(op.name(), timer))
-        .collect();
+    let run = ChainRun::new(chain.into_ops(), &fork, info.id);
     let events = fork.event_sink(info.id);
     events.emit(EventKind::SessionAccept, info.id);
     let fd = polling::fd_of(&stream);
@@ -953,13 +935,7 @@ fn open_session(
         stream,
         fd,
         assembler: RecordAssembler::new(),
-        exec: Some(ExecState {
-            ops,
-            stats,
-            totals: SinkTotals::default(),
-            sink,
-            events: chain_events,
-        }),
+        exec: Some(ExecState { run, sink }),
         pending_finish: None,
         events,
         telemetry: fork,
@@ -1202,12 +1178,7 @@ fn close_session(s: Session, exec: Option<ExecState>) -> SessionReport {
     } else {
         s.events.emit(EventKind::SessionDrain, received);
     }
-    let stats = exec.map_or_else(StreamStats::default, |exec| StreamStats {
-        stages: exec.stats,
-        source_records: received,
-        sink_records: exec.totals.records,
-        sink_bytes: exec.totals.bytes,
-    });
+    let stats = exec.map_or_else(StreamStats::default, |exec| exec.run.into_stats(received));
     let duration = s.started.elapsed();
     SessionReport {
         id: s.info.id,
@@ -1225,9 +1196,9 @@ fn close_session(s: Session, exec: Option<ExecState>) -> SessionReport {
     }
 }
 
-/// Executes one batch on a worker thread: scope events and
-/// `feed_chain` per record, then `flush_chain` on finish — the same
-/// fused step as the streaming driver and the sharded runtime. Repair
+/// Executes one batch on a worker thread: [`ChainRun::push`] per
+/// record, then [`ChainRun::finish`] on finish — the same chain core as
+/// the streaming driver and the sharded runtime. Repair
 /// batches feed error-tolerantly and always flush; a panicking
 /// operator or sink is caught so the pool thread (and the session's
 /// report) survive.
@@ -1244,16 +1215,7 @@ fn run_batch(job: Job) -> BatchDone {
         let mut error: Option<String> = None;
         let mut broken = false;
         for record in batch.records {
-            if exec.events.enabled() {
-                emit_scope_event(&exec.events, &record);
-            }
-            if let Err(e) = feed_chain(
-                &mut exec.ops,
-                &mut exec.stats,
-                record,
-                &mut exec.totals,
-                exec.sink.as_mut(),
-            ) {
+            if let Err(e) = exec.run.push(record, exec.sink.as_mut()) {
                 // Chain/sink failure: fatal for the session on the
                 // normal path, tolerated on the repair drain.
                 if !repair {
@@ -1264,12 +1226,7 @@ fn run_batch(job: Job) -> BatchDone {
             }
         }
         if finish && (!broken || repair) {
-            if let Err(e) = flush_chain(
-                &mut exec.ops,
-                &mut exec.stats,
-                &mut exec.totals,
-                exec.sink.as_mut(),
-            ) {
+            if let Err(e) = exec.run.finish(exec.sink.as_mut()) {
                 if !repair && error.is_none() {
                     error = Some(e.to_string());
                 }

@@ -2,9 +2,7 @@
 //!
 //! The fused streaming driver ([`Pipeline::run_streaming`]) is
 //! single-lane: one core drives every record depth-first through the
-//! chain. The threaded runner adds pipeline-parallelism (one thread per
-//! stage) but throughput stays capped by the slowest stage. Archive
-//! workloads — thousands of clips flowing through the Figure 5 graph —
+//! chain. Archive workloads — thousands of clips flowing through the Figure 5 graph —
 //! are embarrassingly parallel *across* clips, and the paper's scope
 //! discipline is exactly the boundary that makes splitting them safe:
 //! "a data stream scope \[is\] a sequence of records that share some
@@ -22,8 +20,9 @@
 //!    ensemble's or clip's records are never interleaved across
 //!    shards.
 //! 2. **Workers** — *N* threads, each driving its own clone of the
-//!    operator chain ([`Pipeline::clone_chain`]) over a bounded input
-//!    queue. A full queue blocks the splitter — backpressure, not
+//!    operator chain ([`Pipeline::clone_chain`]) through the same
+//!    chain-execution core as the single-lane driver, over a bounded
+//!    input queue. A full queue blocks the splitter — backpressure, not
 //!    buffering — so peak memory per shard is the same constant as the
 //!    single-lane driver's.
 //! 3. **Merge** — because unit *k* lives on worker *k* mod *N* and each
@@ -80,17 +79,18 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::error::PipelineError;
-use crate::operator::{Operator, Sink};
-use crate::pipeline::{
-    emit_scope_event, feed_chain, flush_chain, Pipeline, SinkTotals, StageStats, StreamStats,
-};
+use crate::operator::Sink;
+use crate::pipeline::{ChainRun, Pipeline, StreamStats};
 use crate::record::Record;
 use crate::scope::ScopeTracker;
 use crate::source::Source;
-use crate::telemetry::{EventKind, EventSink, Snapshot, StageTimer, Telemetry, TelemetryConfig};
+use crate::telemetry::{EventKind, EventSink, Snapshot, Telemetry, TelemetryConfig};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use std::sync::Arc;
 use std::thread;
+
+/// Default bound of every splitter→worker and worker→merge queue, in
+/// queue items (records plus unit markers).
+const QUEUE_CAPACITY: usize = 256;
 
 /// Item flowing from the splitter to a worker.
 enum ShardIn {
@@ -136,8 +136,9 @@ impl Sink for WorkerSink<'_> {
 /// Build one with [`from_pipeline`](Self::from_pipeline) (clones an
 /// existing chain) or [`from_factory`](Self::from_factory) (builds each
 /// worker's chain from a closure — the route for chains whose operators
-/// do not implement [`Operator::clone_op`]), then call
-/// [`run`](Self::run). [`Pipeline::run_sharded`] wraps the whole
+/// do not implement
+/// [`Operator::clone_op`](crate::operator::Operator::clone_op)), then
+/// call [`run`](Self::run). [`Pipeline::run_sharded`] wraps the whole
 /// sequence for the common case.
 pub struct ShardedPipeline {
     chains: Vec<Pipeline>,
@@ -157,13 +158,13 @@ impl std::fmt::Debug for ShardedPipeline {
 
 impl ShardedPipeline {
     /// Builds a sharded runtime with `workers` clones of `pipeline`'s
-    /// operator chain. The queue capacity is taken from the pipeline's
-    /// [`channel_capacity`](Pipeline::channel_capacity).
+    /// operator chain.
     ///
     /// # Errors
     ///
     /// Returns an operator error naming the first operator that does
-    /// not support duplication ([`Operator::clone_op`]).
+    /// not support duplication
+    /// ([`Operator::clone_op`](crate::operator::Operator::clone_op)).
     ///
     /// # Panics
     ///
@@ -181,7 +182,7 @@ impl ShardedPipeline {
         }
         Ok(ShardedPipeline {
             chains,
-            queue_capacity: pipeline.channel_capacity(),
+            queue_capacity: QUEUE_CAPACITY,
             // Share the source pipeline's registry: every worker records
             // into the same per-stage histograms, so the sharded
             // snapshot's totals equal a single-lane run's.
@@ -197,14 +198,9 @@ impl ShardedPipeline {
     /// Panics if `workers == 0`.
     pub fn from_factory(workers: usize, mut build: impl FnMut(usize) -> Pipeline) -> Self {
         assert!(workers > 0, "workers must be non-zero");
-        let chains: Vec<Pipeline> = (0..workers).map(&mut build).collect();
-        let queue_capacity = chains.first().map_or(
-            crate::pipeline::DEFAULT_CHANNEL_CAPACITY,
-            Pipeline::channel_capacity,
-        );
         ShardedPipeline {
-            chains,
-            queue_capacity,
+            chains: (0..workers).map(&mut build).collect(),
+            queue_capacity: QUEUE_CAPACITY,
             telemetry: Telemetry::off(),
         }
     }
@@ -215,7 +211,8 @@ impl ShardedPipeline {
     }
 
     /// Sets the bounded-queue capacity between splitter, workers and
-    /// merge (records per queue). Capacity 0 is a rendezvous queue.
+    /// merge (records per queue; default 256). Capacity 0 is a
+    /// rendezvous queue.
     pub fn set_queue_capacity(&mut self, capacity: usize) -> &mut Self {
         self.queue_capacity = capacity;
         self
@@ -283,11 +280,8 @@ impl ShardedPipeline {
                 // All workers fetch the same per-stage timers (matched
                 // by name), so their latencies aggregate lock-free into
                 // one histogram per stage.
-                let names: Vec<String> = chain.names().iter().map(ToString::to_string).collect();
-                let timers = telemetry.stage_timers(&names);
-                let events = telemetry.event_sink(w as u64 + 1);
-                let ops = chain.into_ops();
-                scope.spawn(move || run_worker(ops, &in_rx, &out_tx, timers, &events));
+                let run = ChainRun::new(chain.into_ops(), &telemetry, w as u64 + 1);
+                scope.spawn(move || run_worker(run, &in_rx, &out_tx));
                 in_txs.push(in_tx);
                 out_rxs.push(out_rx);
             }
@@ -356,13 +350,6 @@ fn run_splitter(
                 // simply stands as its own unit — the splitter never
                 // rejects a stream the single-lane driver would accept.
                 let _ = tracker.observe(&record);
-                if events.enabled() {
-                    // Scope events are emitted where source records
-                    // enter the run — here, as the single-lane driver
-                    // does in `run_streaming` — so the event multiset
-                    // matches across runners.
-                    emit_scope_event(events, &record);
-                }
                 let shard = (unit % workers) as usize;
                 if !send_in(&txs[shard], ShardIn::Rec(record), events, shard as u64) {
                     // The worker failed; its error reaches the caller
@@ -413,32 +400,14 @@ fn abort_all(txs: &[Sender<ShardIn>]) {
 
 /// Worker: drives one cloned chain over its shard of the stream,
 /// echoing unit boundaries so the merge can interleave outputs.
-fn run_worker(
-    mut ops: Vec<Box<dyn Operator>>,
-    rx: &Receiver<ShardIn>,
-    tx: &Sender<ShardOut>,
-    timers: Vec<Option<Arc<StageTimer>>>,
-    events: &EventSink,
-) {
-    if events.enabled() {
-        for op in &mut ops {
-            op.attach_events(events);
-        }
-    }
-    let mut stats: Vec<StageStats> = ops
-        .iter()
-        .zip(timers)
-        .map(|(op, timer)| StageStats::with_timer(op.name(), timer))
-        .collect();
-    let mut totals = SinkTotals::default();
+fn run_worker(mut run: ChainRun, rx: &Receiver<ShardIn>, tx: &Sender<ShardOut>) {
     let mut received = 0u64;
     let mut aborted = false;
     loop {
         match rx.recv() {
             Ok(ShardIn::Rec(record)) => {
                 received += 1;
-                let mut sink = WorkerSink { tx };
-                if let Err(e) = feed_chain(&mut ops, &mut stats, record, &mut totals, &mut sink) {
+                if let Err(e) = run.push(record, &mut WorkerSink { tx }) {
                     let _ = tx.send(ShardOut::Failed(e));
                     return;
                 }
@@ -459,18 +428,12 @@ fn run_worker(
         if tx.send(ShardOut::Eos).is_err() {
             return;
         }
-        let mut sink = WorkerSink { tx };
-        if let Err(e) = flush_chain(&mut ops, &mut stats, &mut totals, &mut sink) {
+        if let Err(e) = run.finish(&mut WorkerSink { tx }) {
             let _ = tx.send(ShardOut::Failed(e));
             return;
         }
     }
-    let _ = tx.send(ShardOut::Done(Box::new(StreamStats {
-        stages: stats,
-        source_records: received,
-        sink_records: totals.records,
-        sink_bytes: totals.bytes,
-    })));
+    let _ = tx.send(ShardOut::Done(Box::new(run.into_stats(received))));
 }
 
 /// Merge: drains worker outputs in unit order (round-robin over the
@@ -553,6 +516,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::fault::FailAfter;
+    use crate::operator::Operator;
     use crate::operator::{CountingSink, NullSink};
     use crate::ops::{MapPayload, Passthrough, RecordCounter, RecordFilter, ScopeRepair, ScopeSum};
     use crate::record::{Payload, RecordKind};

@@ -1,6 +1,6 @@
 //! Integration tests for the distributed pipeline: TCP composition,
-//! fault recovery, threaded execution and segment relocation, driven by
-//! the acoustic operators.
+//! fault recovery and segment relocation, driven by the acoustic
+//! operators.
 
 use acoustic_ensembles::core::ops::clip_to_records;
 use acoustic_ensembles::core::pipeline::{extraction_segment, full_pipeline};
@@ -12,7 +12,7 @@ use acoustic_ensembles::river::operator::{NullSink, Operator, SharedSink};
 use acoustic_ensembles::river::ops::ScopeRepair;
 use acoustic_ensembles::river::prelude::*;
 use acoustic_ensembles::river::scope::validate_scopes;
-use acoustic_ensembles::river::segment::{run_network_segment, RelocatablePipeline};
+use acoustic_ensembles::river::segment::{run_network_segment, Migration, RelocatablePipeline};
 use acoustic_ensembles::river::serve::PipelineServer;
 use crossbeam::channel::{bounded, unbounded};
 use std::collections::HashMap;
@@ -431,16 +431,6 @@ fn crash_mid_clip_yields_balanced_stream_downstream() {
 }
 
 #[test]
-fn threaded_full_pipeline_matches_sync() {
-    let cfg = ExtractorConfig::default();
-    let records = clip_records(&cfg, 3);
-    let sync_out = full_pipeline(cfg, true).run(records.clone()).unwrap();
-    let threaded_out = full_pipeline(cfg, true).run_threaded(records).unwrap();
-    assert_eq!(sync_out, threaded_out);
-    validate_scopes(&sync_out).unwrap();
-}
-
-#[test]
 fn dropped_closes_are_repaired_before_analysis() {
     let cfg = ExtractorConfig::default();
     let mut records = clip_records(&cfg, 4);
@@ -500,4 +490,45 @@ fn relocation_during_acoustic_stream() {
     assert_eq!(report.final_host, "b");
     let out: Vec<Record> = out_rx.iter().collect();
     validate_scopes(&out).unwrap();
+}
+
+/// Relocating the extraction segment at a clip boundary is invisible in
+/// its output: the fresh instance on the new host continues exactly
+/// where the old one stopped, record for record.
+#[test]
+fn relocated_extraction_matches_single_lane() {
+    let cfg = ExtractorConfig::default();
+    let first = clip_records(&cfg, 9);
+    let second = clip_records(&cfg, 10);
+    let expected = extraction_segment(cfg)
+        .run(first.iter().chain(&second).cloned())
+        .unwrap();
+    assert!(expected.iter().any(|r| r.kind == RecordKind::Data));
+
+    // Rendezvous input: the relocation command lands exactly between
+    // the two clips.
+    let (in_tx, in_rx) = bounded::<Record>(0);
+    let (out_tx, out_rx) = unbounded();
+    let seg = RelocatablePipeline::spawn(move || extraction_segment(cfg), in_rx, out_tx, "a");
+    let boundary = first.len() as u64;
+    for r in first {
+        in_tx.send(r).unwrap();
+    }
+    seg.relocate("b");
+    for r in second {
+        in_tx.send(r).unwrap();
+    }
+    drop(in_tx);
+
+    let report = seg.join().unwrap();
+    assert_eq!(
+        report.migrations,
+        vec![Migration {
+            from: "a".into(),
+            to: "b".into(),
+            at_record: boundary,
+        }]
+    );
+    let out: Vec<Record> = out_rx.iter().collect();
+    assert_eq!(out, expected);
 }
